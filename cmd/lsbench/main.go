@@ -1,5 +1,5 @@
 // Command lsbench regenerates the paper's evaluation tables and the
-// ablation studies listed in DESIGN.md.
+// ablation studies listed below.
 //
 // Usage:
 //
@@ -22,7 +22,7 @@
 //
 // Numbers are produced on the in-process testbed (goroutine servers with a
 // synthetic per-hop latency); compare shapes, not absolute values, against
-// the paper (EXPERIMENTS.md records both).
+// the paper's Tables 1 and 2.
 package main
 
 import (

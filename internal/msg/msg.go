@@ -334,7 +334,8 @@ type RangeQueryRes struct {
 // Nearest-neighbor query (semantics in Section 3.2).
 
 // NeighborQueryReq is a client's nearest-neighbor query, a call to its
-// entry server, which resolves it with an expanding-ring search over the
+// entry server, which has it resolved at the leaf owning P (see
+// NeighborQueryFwd) and falls back to an expanding-ring search over the
 // range-query machinery.
 type NeighborQueryReq struct {
 	P        geo.Point
@@ -353,6 +354,32 @@ type NeighborQueryRes struct {
 	// server. Unreachable names the dark servers (deduplicated).
 	Partial     bool
 	Unreachable []NodeID
+}
+
+// NeighborQueryFwd routes a nearest-neighbor query by its point to the leaf
+// whose service area contains P: straight there when the entry server's
+// area cache knows that leaf, otherwise up the hierarchy until a server's
+// service area contains P and then down through the child containing it.
+// The owner resolves the query and answers Origin with a
+// NeighborQuerySubRes.
+type NeighborQueryFwd struct {
+	P        geo.Point
+	ReqAcc   float64
+	NearQual float64
+	Origin   Origin
+	Hops     int
+}
+
+// NeighborQuerySubRes answers a routed nearest-neighbor query at its
+// origin. Leaf is the answering owner; a zero Leaf means a coordinator
+// answered instead because the route ended before reaching an owner — a
+// dark next hop (Res.Partial with Res.Unreachable naming it) or no server
+// owning P — and the origin resolves the query itself.
+type NeighborQuerySubRes struct {
+	OpID uint64
+	Res  NeighborQueryRes
+	Leaf LeafInfo
+	Hops int
 }
 
 // ---------------------------------------------------------------------------
@@ -655,42 +682,44 @@ type ErrorRes struct {
 	Text string
 }
 
-func (RegisterReq) isMessage()      {}
-func (RegisterRes) isMessage()      {}
-func (RegisterFailed) isMessage()   {}
-func (CreatePath) isMessage()       {}
-func (RemovePath) isMessage()       {}
-func (UpdateReq) isMessage()        {}
-func (UpdateRes) isMessage()        {}
-func (HandoverReq) isMessage()      {}
-func (HandoverRes) isMessage()      {}
-func (DeregisterReq) isMessage()    {}
-func (DeregisterRes) isMessage()    {}
-func (ChangeAccReq) isMessage()     {}
-func (ChangeAccRes) isMessage()     {}
-func (NotifyAvailAcc) isMessage()   {}
-func (RequestUpdate) isMessage()    {}
-func (PosQueryReq) isMessage()      {}
-func (PosQueryDirect) isMessage()   {}
-func (PosQueryRes) isMessage()      {}
-func (PosQueryFwd) isMessage()      {}
-func (RangeQueryReq) isMessage()    {}
-func (RangeQueryFwd) isMessage()    {}
-func (RangeQuerySubRes) isMessage() {}
-func (RangeQueryRes) isMessage()    {}
-func (NeighborQueryReq) isMessage() {}
-func (NeighborQueryRes) isMessage() {}
-func (EventSubscribe) isMessage()   {}
-func (EventUnsubscribe) isMessage() {}
-func (EventCount) isMessage()       {}
-func (EventNotify) isMessage()      {}
-func (DiagReq) isMessage()          {}
-func (DiagRes) isMessage()          {}
-func (Ack) isMessage()              {}
-func (ErrorRes) isMessage()         {}
-func (ReplAppend) isMessage()       {}
-func (ReplAck) isMessage()          {}
-func (RunFetch) isMessage()         {}
-func (RunFetchRes) isMessage()      {}
-func (Promote) isMessage()          {}
-func (PromoteRes) isMessage()       {}
+func (RegisterReq) isMessage()         {}
+func (RegisterRes) isMessage()         {}
+func (RegisterFailed) isMessage()      {}
+func (CreatePath) isMessage()          {}
+func (RemovePath) isMessage()          {}
+func (UpdateReq) isMessage()           {}
+func (UpdateRes) isMessage()           {}
+func (HandoverReq) isMessage()         {}
+func (HandoverRes) isMessage()         {}
+func (DeregisterReq) isMessage()       {}
+func (DeregisterRes) isMessage()       {}
+func (ChangeAccReq) isMessage()        {}
+func (ChangeAccRes) isMessage()        {}
+func (NotifyAvailAcc) isMessage()      {}
+func (RequestUpdate) isMessage()       {}
+func (PosQueryReq) isMessage()         {}
+func (PosQueryDirect) isMessage()      {}
+func (PosQueryRes) isMessage()         {}
+func (PosQueryFwd) isMessage()         {}
+func (RangeQueryReq) isMessage()       {}
+func (RangeQueryFwd) isMessage()       {}
+func (RangeQuerySubRes) isMessage()    {}
+func (RangeQueryRes) isMessage()       {}
+func (NeighborQueryReq) isMessage()    {}
+func (NeighborQueryRes) isMessage()    {}
+func (NeighborQueryFwd) isMessage()    {}
+func (NeighborQuerySubRes) isMessage() {}
+func (EventSubscribe) isMessage()      {}
+func (EventUnsubscribe) isMessage()    {}
+func (EventCount) isMessage()          {}
+func (EventNotify) isMessage()         {}
+func (DiagReq) isMessage()             {}
+func (DiagRes) isMessage()             {}
+func (Ack) isMessage()                 {}
+func (ErrorRes) isMessage()            {}
+func (ReplAppend) isMessage()          {}
+func (ReplAck) isMessage()             {}
+func (RunFetch) isMessage()            {}
+func (RunFetchRes) isMessage()         {}
+func (Promote) isMessage()             {}
+func (PromoteRes) isMessage()          {}

@@ -13,92 +13,96 @@ const (
 	// TagInvalid is the zero Tag; it never appears on the wire.
 	TagInvalid Tag = 0
 
-	TagRegisterReq      Tag = 1
-	TagRegisterRes      Tag = 2
-	TagRegisterFailed   Tag = 3
-	TagCreatePath       Tag = 4
-	TagRemovePath       Tag = 5
-	TagUpdateReq        Tag = 6
-	TagUpdateRes        Tag = 7
-	TagHandoverReq      Tag = 8
-	TagHandoverRes      Tag = 9
-	TagDeregisterReq    Tag = 10
-	TagDeregisterRes    Tag = 11
-	TagChangeAccReq     Tag = 12
-	TagChangeAccRes     Tag = 13
-	TagNotifyAvailAcc   Tag = 14
-	TagRequestUpdate    Tag = 15
-	TagPosQueryReq      Tag = 16
-	TagPosQueryDirect   Tag = 17
-	TagPosQueryRes      Tag = 18
-	TagPosQueryFwd      Tag = 19
-	TagRangeQueryReq    Tag = 20
-	TagRangeQueryFwd    Tag = 21
-	TagRangeQuerySubRes Tag = 22
-	TagRangeQueryRes    Tag = 23
-	TagNeighborQueryReq Tag = 24
-	TagNeighborQueryRes Tag = 25
-	TagEventSubscribe   Tag = 26
-	TagEventUnsubscribe Tag = 27
-	TagEventCount       Tag = 28
-	TagEventNotify      Tag = 29
-	TagDiagReq          Tag = 30
-	TagDiagRes          Tag = 31
-	TagAck              Tag = 32
-	TagErrorRes         Tag = 33
-	TagReplAppend       Tag = 34
-	TagReplAck          Tag = 35
-	TagRunFetch         Tag = 36
-	TagRunFetchRes      Tag = 37
-	TagPromote          Tag = 38
-	TagPromoteRes       Tag = 39
+	TagRegisterReq         Tag = 1
+	TagRegisterRes         Tag = 2
+	TagRegisterFailed      Tag = 3
+	TagCreatePath          Tag = 4
+	TagRemovePath          Tag = 5
+	TagUpdateReq           Tag = 6
+	TagUpdateRes           Tag = 7
+	TagHandoverReq         Tag = 8
+	TagHandoverRes         Tag = 9
+	TagDeregisterReq       Tag = 10
+	TagDeregisterRes       Tag = 11
+	TagChangeAccReq        Tag = 12
+	TagChangeAccRes        Tag = 13
+	TagNotifyAvailAcc      Tag = 14
+	TagRequestUpdate       Tag = 15
+	TagPosQueryReq         Tag = 16
+	TagPosQueryDirect      Tag = 17
+	TagPosQueryRes         Tag = 18
+	TagPosQueryFwd         Tag = 19
+	TagRangeQueryReq       Tag = 20
+	TagRangeQueryFwd       Tag = 21
+	TagRangeQuerySubRes    Tag = 22
+	TagRangeQueryRes       Tag = 23
+	TagNeighborQueryReq    Tag = 24
+	TagNeighborQueryRes    Tag = 25
+	TagEventSubscribe      Tag = 26
+	TagEventUnsubscribe    Tag = 27
+	TagEventCount          Tag = 28
+	TagEventNotify         Tag = 29
+	TagDiagReq             Tag = 30
+	TagDiagRes             Tag = 31
+	TagAck                 Tag = 32
+	TagErrorRes            Tag = 33
+	TagReplAppend          Tag = 34
+	TagReplAck             Tag = 35
+	TagRunFetch            Tag = 36
+	TagRunFetchRes         Tag = 37
+	TagPromote             Tag = 38
+	TagPromoteRes          Tag = 39
+	TagNeighborQueryFwd    Tag = 40
+	TagNeighborQuerySubRes Tag = 41
 
 	// tagEnd is one past the highest assigned tag.
-	tagEnd Tag = 40
+	tagEnd Tag = 42
 )
 
 // tagNames indexes message type names by tag, for diagnostics (oversize
 // datagram errors, decode failures, stats).
 var tagNames = [tagEnd]string{
-	TagRegisterReq:      "RegisterReq",
-	TagRegisterRes:      "RegisterRes",
-	TagRegisterFailed:   "RegisterFailed",
-	TagCreatePath:       "CreatePath",
-	TagRemovePath:       "RemovePath",
-	TagUpdateReq:        "UpdateReq",
-	TagUpdateRes:        "UpdateRes",
-	TagHandoverReq:      "HandoverReq",
-	TagHandoverRes:      "HandoverRes",
-	TagDeregisterReq:    "DeregisterReq",
-	TagDeregisterRes:    "DeregisterRes",
-	TagChangeAccReq:     "ChangeAccReq",
-	TagChangeAccRes:     "ChangeAccRes",
-	TagNotifyAvailAcc:   "NotifyAvailAcc",
-	TagRequestUpdate:    "RequestUpdate",
-	TagPosQueryReq:      "PosQueryReq",
-	TagPosQueryDirect:   "PosQueryDirect",
-	TagPosQueryRes:      "PosQueryRes",
-	TagPosQueryFwd:      "PosQueryFwd",
-	TagRangeQueryReq:    "RangeQueryReq",
-	TagRangeQueryFwd:    "RangeQueryFwd",
-	TagRangeQuerySubRes: "RangeQuerySubRes",
-	TagRangeQueryRes:    "RangeQueryRes",
-	TagNeighborQueryReq: "NeighborQueryReq",
-	TagNeighborQueryRes: "NeighborQueryRes",
-	TagEventSubscribe:   "EventSubscribe",
-	TagEventUnsubscribe: "EventUnsubscribe",
-	TagEventCount:       "EventCount",
-	TagEventNotify:      "EventNotify",
-	TagDiagReq:          "DiagReq",
-	TagDiagRes:          "DiagRes",
-	TagAck:              "Ack",
-	TagErrorRes:         "ErrorRes",
-	TagReplAppend:       "ReplAppend",
-	TagReplAck:          "ReplAck",
-	TagRunFetch:         "RunFetch",
-	TagRunFetchRes:      "RunFetchRes",
-	TagPromote:          "Promote",
-	TagPromoteRes:       "PromoteRes",
+	TagRegisterReq:         "RegisterReq",
+	TagRegisterRes:         "RegisterRes",
+	TagRegisterFailed:      "RegisterFailed",
+	TagCreatePath:          "CreatePath",
+	TagRemovePath:          "RemovePath",
+	TagUpdateReq:           "UpdateReq",
+	TagUpdateRes:           "UpdateRes",
+	TagHandoverReq:         "HandoverReq",
+	TagHandoverRes:         "HandoverRes",
+	TagDeregisterReq:       "DeregisterReq",
+	TagDeregisterRes:       "DeregisterRes",
+	TagChangeAccReq:        "ChangeAccReq",
+	TagChangeAccRes:        "ChangeAccRes",
+	TagNotifyAvailAcc:      "NotifyAvailAcc",
+	TagRequestUpdate:       "RequestUpdate",
+	TagPosQueryReq:         "PosQueryReq",
+	TagPosQueryDirect:      "PosQueryDirect",
+	TagPosQueryRes:         "PosQueryRes",
+	TagPosQueryFwd:         "PosQueryFwd",
+	TagRangeQueryReq:       "RangeQueryReq",
+	TagRangeQueryFwd:       "RangeQueryFwd",
+	TagRangeQuerySubRes:    "RangeQuerySubRes",
+	TagRangeQueryRes:       "RangeQueryRes",
+	TagNeighborQueryReq:    "NeighborQueryReq",
+	TagNeighborQueryRes:    "NeighborQueryRes",
+	TagEventSubscribe:      "EventSubscribe",
+	TagEventUnsubscribe:    "EventUnsubscribe",
+	TagEventCount:          "EventCount",
+	TagEventNotify:         "EventNotify",
+	TagDiagReq:             "DiagReq",
+	TagDiagRes:             "DiagRes",
+	TagAck:                 "Ack",
+	TagErrorRes:            "ErrorRes",
+	TagReplAppend:          "ReplAppend",
+	TagReplAck:             "ReplAck",
+	TagRunFetch:            "RunFetch",
+	TagRunFetchRes:         "RunFetchRes",
+	TagPromote:             "Promote",
+	TagPromoteRes:          "PromoteRes",
+	TagNeighborQueryFwd:    "NeighborQueryFwd",
+	TagNeighborQuerySubRes: "NeighborQuerySubRes",
 }
 
 // String returns the message type name the tag identifies.
@@ -207,6 +211,10 @@ func TagOf(m Message) (Tag, bool) {
 		return TagPromote, true
 	case PromoteRes:
 		return TagPromoteRes, true
+	case NeighborQueryFwd:
+		return TagNeighborQueryFwd, true
+	case NeighborQuerySubRes:
+		return TagNeighborQuerySubRes, true
 	}
 	return TagInvalid, false
 }

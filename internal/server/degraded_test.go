@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -161,4 +162,121 @@ func TestDegradedQueriesWithDarkLeaf(t *testing.T) {
 	if got := entry.Metrics().Counter("wire_degraded_queries").Value(); got < 3 {
 		t.Errorf("wire_degraded_queries = %d, want >= 3 (range, neighbor, posquery)", got)
 	}
+}
+
+// TestDegradedNeighborQueryRouted drives nearest-neighbor queries through
+// the route to the leaf owning the query point while one leaf is dark and
+// its parent's breaker toward it is open. A query owned by the dark leaf
+// gets the coordinator's immediate dark reply, so the entry's fallback
+// answers — Partial, with the nearest reachable object — in a fraction of
+// QueryTimeout. A query owned by a live leaf is answered there, and is
+// Partial too when the owner's collection window reaches into the dark
+// leaf.
+func TestDegradedNeighborQueryRouted(t *testing.T) {
+	const queryTimeout = time.Second
+	net := transport.NewInproc(transport.InprocOptions{
+		SweepInterval:    20 * time.Millisecond,
+		BreakerThreshold: 1,
+		BreakerCooldown:  time.Hour, // stays open for the whole test
+	})
+	defer net.Close()
+	dep, err := hierarchy.Deploy(net, quadSpec(), server.Options{
+		CallTimeout:  300 * time.Millisecond,
+		QueryTimeout: queryTimeout,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dep.Close()
+
+	objs := map[string]geo.Point{
+		"o0": geo.Pt(100, 100),   // r.0
+		"o1": geo.Pt(1200, 100),  // r.1
+		"o2": geo.Pt(100, 1200),  // r.2
+		"o3": geo.Pt(1200, 1200), // r.3, goes dark
+	}
+	owner, err := client.New(net, "owner", "r.0", client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer owner.Close()
+	for oid, p := range objs {
+		if _, rerr := owner.Register(ctx(t), sightingAt(oid, p), 10, 50, 3); rerr != nil {
+			t.Fatal(rerr)
+		}
+	}
+	waitFor(t, func() bool { return dep.RootVisitorCount() == len(objs) }, "paths complete")
+	c, err := client.New(net, "querier", "r.0", client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Darken r.3 and let one swept forward open the root's breaker toward
+	// it; the query that trips it is abandoned by its client.
+	net.SetNodeDown("r.3", true)
+	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	_, _ = c.RangeQuery(short, core.AreaFromRect(geo.R(800, 800, 1400, 1400)), 100, 0.5)
+	cancel()
+	waitFor(t, func() bool { return net.PeerState(dep.Root(), "r.3") == transport.PeerOpen }, "root breaker toward r.3 open")
+
+	entry, _ := dep.Server("r.0")
+	fallbacks := func() int64 { return entry.Metrics().Counter("neighbor_query_route_fallback").Value() }
+
+	t.Run("owned by the dark leaf", func(t *testing.T) {
+		// The true nearest is o3, behind the dark leaf that owns p.
+		p := geo.Pt(1050, 1100)
+		before := fallbacks()
+		start := time.Now()
+		res, err := c.NeighborQuery(ctx(t), p, 100, 0)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Partial || !containsNode(res.Unreachable, "r.3") {
+			t.Errorf("partial=%v unreachable=%v, want Partial naming r.3", res.Partial, res.Unreachable)
+		}
+		if res.Nearest.OID != "o2" {
+			t.Errorf("nearest = %s, want o2 (nearest reachable)", res.Nearest.OID)
+		}
+		if fallbacks() != before+1 {
+			t.Error("entry did not fall back after the coordinator's dark reply")
+		}
+		if elapsed > queryTimeout/4 {
+			t.Errorf("answer took %v, want well under QueryTimeout %v", elapsed, queryTimeout)
+		}
+	})
+	t.Run("owned by a live leaf, window reaching the dark leaf", func(t *testing.T) {
+		// o2 is the true nearest (500 m); the 501 m window around p
+		// reaches into r.3, which could hide an object as near.
+		p := geo.Pt(600, 1200)
+		before := fallbacks()
+		start := time.Now()
+		res, err := c.NeighborQuery(ctx(t), p, 100, 0)
+		elapsed := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Partial {
+			t.Error("collection window over a dark leaf not marked Partial")
+		}
+		if res.Nearest.OID != "o2" {
+			t.Errorf("nearest = %s, want o2", res.Nearest.OID)
+		}
+		if fallbacks() != before {
+			t.Error("live owner's answer was not used")
+		}
+		if elapsed > queryTimeout/4 {
+			t.Errorf("answer took %v, want well under QueryTimeout %v", elapsed, queryTimeout)
+		}
+	})
+}
+
+func containsNode(ids []msg.NodeID, id msg.NodeID) bool {
+	for _, x := range ids {
+		if x == id {
+			return true
+		}
+	}
+	return false
 }

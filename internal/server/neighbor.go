@@ -3,27 +3,62 @@ package server
 import (
 	"context"
 	"math"
+	"time"
 
 	"locsvc/internal/core"
 	"locsvc/internal/geo"
 	"locsvc/internal/msg"
 )
 
+// anyOverlap is the overlap threshold of every nearest-neighbor
+// collection. It only needs to be positive: any object whose position lies
+// inside a collection window has a positive overlap degree with it.
+const anyOverlap = 1e-9
+
+// scanCap bounds the nearest-first cursor walk: a leaf full of
+// non-qualifying sightings falls back to the expanding ring instead of
+// being streamed end to end.
+const scanCap = 64
+
 // handleNeighborQuery resolves a nearest-neighbor query (semantics of
-// Section 3.2) at the entry server with an expanding-ring search built on
-// the distributed range-query machinery:
+// Section 3.2; the paper fixes the answer, not its distributed
+// resolution). The query is answered at the leaf that owns its point P:
 //
-//  1. Query a square window around p, doubling its radius until a candidate
-//     whose recorded position lies within the window radius is found. Any
-//     object outside the window is farther than the radius, so the nearest
-//     candidate found this way is the global nearest.
-//  2. Issue one final collection query of radius dist(nearest) + nearQual
-//     to gather the nearObjSet, then apply core.SelectNearest for the exact
-//     selection rule (accuracy filter, deterministic tie-break, guaranteed
-//     minimum distance).
+//   - Route. When P lies in another leaf's service area, the entry server
+//     sends a NeighborQueryFwd there — straight to the leaf its area cache
+//     names, or else up the hierarchy until a server's area contains P
+//     and down through the child containing P — and waits for the owner's
+//     NeighborQuerySubRes. Points in its own area, and points outside the
+//     root area (which no leaf owns), the entry resolves itself.
+//   - Resolve (resolveNeighbor, the same function at the owner and at the
+//     entry). Walk the store's nearest-first cursor to the first
+//     qualifying sighting, at distance d, examining at most scanCap. If
+//     the collection window of radius d + nearQual + 1, enlarged by
+//     reqAcc, lies inside the leaf's service area, select the answer from
+//     local sightings alone. Otherwise run one distributed range
+//     collection over that window. Only when no qualifying sighting turns
+//     up within scanCap does the expanding ring run (neighborRing).
+//   - Fall back. A dark next hop answers the entry at once (Partial, with
+//     the unreachable server named); a forward error, a route that ends
+//     without an owner, or no reply within QueryTimeout also make the
+//     entry resolve the query itself. A degraded answer is the nearest
+//     reachable object, marked Partial.
 //
-// The paper defines the query's semantics but not its distributed
-// resolution; this concretisation is documented in DESIGN.md.
+// Why one collection is exact: the cursor's candidate qualifies, so the
+// true nearest qualifying object lies at distance at most d, and every
+// member of nearObjSet at most d + nearQual from P. All of them lie
+// strictly inside the square window of radius d + nearQual + 1 around P,
+// so the collection returns a superset of every object that can appear in
+// the answer, and core.SelectNearest applies the exact selection rule
+// (accuracy filter, deterministic tie-break, guaranteed minimum distance)
+// to it. The +1 m margin keeps the window's area positive when the
+// candidate sits exactly at P with nearQual 0: a zero-area window would
+// give every candidate overlap degree 0 and filter the whole answer away.
+// Objects are agented by the leaf whose area contains their position, so
+// when the window (enlarged by reqAcc, exactly like a forwarded window)
+// lies inside this leaf's area, every object in it is local. Running the
+// resolution at the owner only makes d small; it is correct at any leaf,
+// which is what lets the entry fall back to it.
 func (s *Server) handleNeighborQuery(ctx context.Context, req msg.NeighborQueryReq) (msg.Message, error) {
 	if !s.cfg.IsLeaf() {
 		return nil, core.ErrBadRequest
@@ -33,17 +68,234 @@ func (s *Server) handleNeighborQuery(ctx context.Context, req msg.NeighborQueryR
 	}
 	s.met.Counter("neighbor_query_seen").Inc()
 
-	// Local fast path: stream this leaf's own sightings in increasing
-	// distance order off the store's nearest-neighbor cursor machinery.
-	// When the whole answer is provably local, the expanding-ring search
-	// below — one window search per doubling, possibly fanning out over
-	// the network — collapses into one cursor walk plus one collection
-	// search.
-	if res, ok := s.neighborQueryLocal(req); ok {
-		s.met.Counter("neighbor_query_local_fast").Inc()
-		return res, nil
+	// What a failed route learned (a dark hop) is folded into the
+	// fallback's answer.
+	var routed msg.NeighborQueryRes
+	if !s.inArea(req.P) && s.rootArea.Contains(req.P) {
+		res, ok, err := s.routeNeighborQuery(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return s.neighborAnswer(res), nil
+		}
+		routed = res
+		s.met.Counter("neighbor_query_route_fallback").Inc()
 	}
 
+	plan := s.planNeighbor(req)
+	if plan.local {
+		s.met.Counter("neighbor_query_local_fast").Inc()
+	}
+	res, err := s.resolveNeighbor(ctx, req, plan, s.opts.QueryTimeout)
+	if err != nil {
+		return nil, err
+	}
+	res.Partial = res.Partial || routed.Partial
+	res.Unreachable = mergeUnreachable(res.Unreachable, routed.Unreachable...)
+	return s.neighborAnswer(res), nil
+}
+
+// neighborAnswer counts a degraded answer on its way to the client.
+func (s *Server) neighborAnswer(res msg.NeighborQueryRes) msg.NeighborQueryRes {
+	if res.Partial {
+		s.met.Counter("wire_degraded_queries").Inc()
+	}
+	return res
+}
+
+// routeNeighborQuery sends req to the leaf owning req.P and waits for its
+// answer. ok is false when no owner answered: a forward error, a dark next
+// hop, a route that ended without an owner, or no reply within
+// QueryTimeout. res then carries what the route learned (Partial and the
+// unreachable servers) for the fallback to fold in.
+func (s *Server) routeNeighborQuery(ctx context.Context, req msg.NeighborQueryReq) (res msg.NeighborQueryRes, ok bool, err error) {
+	opID, ch := s.pend.open()
+	defer s.pend.close(opID)
+	to, cached := s.caches.leafFor(req.P)
+	if !cached || to == s.ID() {
+		if to = s.parentForKey(opID); to == "" {
+			return msg.NeighborQueryRes{}, false, nil
+		}
+	}
+	if err := s.forward(to, msg.NeighborQueryFwd{
+		P: req.P, ReqAcc: req.ReqAcc, NearQual: req.NearQual,
+		Origin: msg.Origin{Node: s.ID(), OpID: opID}, Hops: 1,
+	}); err != nil {
+		return msg.NeighborQueryRes{Partial: true, Unreachable: []msg.NodeID{to}}, false, nil
+	}
+	s.met.Counter("neighbor_query_routed").Inc()
+	timeout := time.NewTimer(s.opts.QueryTimeout)
+	defer timeout.Stop()
+	for {
+		select {
+		case m := <-ch:
+			sub, isSub := m.(msg.NeighborQuerySubRes)
+			if !isSub {
+				continue
+			}
+			// Only an owner sets Leaf; a coordinator's reply means the
+			// route ended short of one.
+			return sub.Res, sub.Leaf.Valid(), nil
+		case <-timeout.C:
+			s.met.Counter("neighbor_query_route_timeout").Inc()
+			return msg.NeighborQueryRes{}, false, nil
+		case <-ctx.Done():
+			return msg.NeighborQueryRes{}, false, ctx.Err()
+		}
+	}
+}
+
+// handleNeighborQueryFwd routes a NeighborQueryFwd one hop toward the leaf
+// owning its point, or resolves it there. A coordinator whose area
+// contains P forwards to the child containing P, and otherwise upward; a
+// next hop that cannot be reached is reported to the origin at once, as
+// forwardPosQueryOr does, so the entry server falls back without waiting
+// out its timeout.
+func (s *Server) handleNeighborQueryFwd(from msg.NodeID, req msg.NeighborQueryFwd) {
+	req.Hops++
+	if s.cfg.IsLeaf() {
+		s.answerNeighborQueryFwd(req)
+		return
+	}
+	var next msg.NodeID
+	switch {
+	case req.Hops > maxFwdHops:
+		// A routing loop through rebinding churn; let the entry resolve.
+	case s.cfg.SA.Contains(req.P):
+		if child, ok := s.childFor(req.P); ok {
+			next = msg.NodeID(child.ID)
+		}
+	case !s.isParent(from):
+		// Queries from above always lie in this area; only ones from
+		// below climb.
+		next = s.parentForKey(req.Origin.OpID)
+	}
+	reply := msg.NeighborQuerySubRes{OpID: req.Origin.OpID, Hops: req.Hops}
+	if next == "" {
+		s.respondToOrigin(req.Origin, reply)
+		return
+	}
+	if err := s.forward(next, req); err != nil {
+		reply.Res = msg.NeighborQueryRes{Partial: true, Unreachable: []msg.NodeID{next}}
+		s.respondToOrigin(req.Origin, reply)
+	}
+}
+
+// answerNeighborQueryFwd resolves a routed query at its owner and answers
+// the origin. An answer from local sightings is sent inline. One that
+// needs a distributed collection runs on its own goroutine, so the
+// tracked forward that brought the query is acknowledged now rather than
+// after a collection that may wait out a dark leaf; it gets half the
+// query timeout, so a degraded answer still reaches the entry server
+// before the entry's own wait ends.
+func (s *Server) answerNeighborQueryFwd(req msg.NeighborQueryFwd) {
+	q := msg.NeighborQueryReq{P: req.P, ReqAcc: req.ReqAcc, NearQual: req.NearQual}
+	reply := func(res msg.NeighborQueryRes) {
+		s.respondToOrigin(req.Origin, msg.NeighborQuerySubRes{
+			OpID: req.Origin.OpID, Res: res, Leaf: s.leafInfo(), Hops: req.Hops,
+		})
+	}
+	plan := s.planNeighbor(q)
+	if plan.local {
+		res, _ := s.resolveNeighbor(context.Background(), q, plan, 0)
+		reply(res)
+		return
+	}
+	// The context only caps the goroutine's life: each collection gives up
+	// after wait and answers Partial well before it ends.
+	s.goBackground(s.opts.QueryTimeout, func(ctx context.Context) {
+		if res, err := s.resolveNeighbor(ctx, q, plan, s.opts.QueryTimeout/2); err == nil {
+			reply(res)
+		}
+	})
+}
+
+// neighborPlan is the outcome of the cursor walk that starts every
+// resolution.
+type neighborPlan struct {
+	// found reports a qualifying sighting within scanCap of the cursor.
+	found bool
+	// window is the collection window: radius d + nearQual + 1 around P,
+	// with d the distance of that sighting.
+	window core.Area
+	// local reports that window, enlarged by reqAcc, lies inside this
+	// leaf's service area, so the answer needs no network.
+	local bool
+}
+
+// planNeighbor walks this leaf's sightings nearest-first to the first one
+// that qualifies. A sighting strictly inside a window has positive overlap
+// with it, so the qualification predicate of the collection reduces to
+// the accuracy test.
+func (s *Server) planNeighbor(req msg.NeighborQueryReq) neighborPlan {
+	bound := -1.0
+	examined := 0
+	s.sightings.NearestFunc(req.P, func(sight core.Sighting, dist float64) bool {
+		if rec, ok := s.visitors.Get(sight.OID); ok && rec.OfferedAcc <= req.ReqAcc {
+			bound = dist
+			return false
+		}
+		examined++
+		return examined < scanCap
+	})
+	if bound < 0 {
+		return neighborPlan{}
+	}
+	window := core.AreaFromRect(geo.RectAround(req.P, bound+req.NearQual+1))
+	return neighborPlan{
+		found:  true,
+		window: window,
+		local:  s.cfg.SA.Bounds().ContainsRect(window.Bounds().Enlarge(req.ReqAcc)),
+	}
+}
+
+// resolveNeighbor answers req from plan: from local sightings when the
+// plan is local, with one distributed collection over the plan's window
+// otherwise, and with the expanding ring when the cursor found no
+// qualifying sighting. wait bounds each distributed collection's wait for
+// partial results.
+func (s *Server) resolveNeighbor(ctx context.Context, req msg.NeighborQueryReq, plan neighborPlan, wait time.Duration) (msg.NeighborQueryRes, error) {
+	if !plan.found {
+		return s.neighborRing(ctx, req, wait)
+	}
+	if plan.local {
+		enlarged := plan.window.Bounds().Enlarge(req.ReqAcc)
+		return selectNeighbor(s.localRangeResult(plan.window, req.ReqAcc, anyOverlap, enlarged), req, rangeOutcome{}), nil
+	}
+	s.met.Counter("neighbor_query_ring_skipped").Inc()
+	out, err := s.collectRange(ctx, plan.window, req.ReqAcc, anyOverlap, wait)
+	if err != nil {
+		return msg.NeighborQueryRes{}, err
+	}
+	return selectNeighbor(out.objs, req, out), nil
+}
+
+// selectNeighbor applies the selection rule to a candidate superset and
+// carries over the degradation of the collections that gathered it.
+func selectNeighbor(cands []core.Entry, req msg.NeighborQueryReq, coll rangeOutcome) msg.NeighborQueryRes {
+	res := msg.NeighborQueryRes{Partial: coll.partial, Unreachable: coll.unreachable}
+	sel := core.SelectNearest(cands, req.P, req.ReqAcc, req.NearQual)
+	if sel.Found {
+		res.Found = true
+		res.Nearest = sel.Nearest
+		res.Near = sel.Near
+		res.GuaranteedMinDist = sel.GuaranteedMinDist
+	}
+	return res
+}
+
+// neighborRing is the resolution of last resort, for a leaf with no
+// qualifying sighting near P: query a square window around P, doubling its
+// radius until a candidate whose recorded position lies within the window
+// radius is found (any object outside the window is farther than the
+// radius, so the nearest candidate found this way is the global nearest),
+// then collect once more at radius dist(nearest) + nearQual + 1 to gather
+// nearObjSet. Every ring is its own distributed collection; a degraded
+// ring taints the whole answer, so partiality and the unreachable set are
+// unioned across all of them — a partial answer means the true nearest
+// could hide behind a dark leaf.
+func (s *Server) neighborRing(ctx context.Context, req msg.NeighborQueryReq, wait time.Duration) (msg.NeighborQueryRes, error) {
 	rootBounds := s.rootArea.Bounds()
 	maxRadius := rootBounds.Width() + rootBounds.Height() // covers everything from any p
 
@@ -56,35 +308,17 @@ func (s *Server) handleNeighborQuery(ctx context.Context, req msg.NeighborQueryR
 		}
 	}
 
-	// The overlap threshold only needs to be positive: any object whose
-	// position lies inside the window has a positive overlap degree.
-	const anyOverlap = 1e-9
-
-	// Every ring is its own distributed range collection; a degraded ring
-	// taints the whole answer, so partiality and the unreachable set are
-	// unioned across all of them. A partial "found" answer means the true
-	// nearest could hide behind a dark leaf.
-	partial := false
-	var unreachable []msg.NodeID
-	finish := func(res msg.NeighborQueryRes) msg.NeighborQueryRes {
-		res.Partial = partial
-		res.Unreachable = unreachable
-		if partial {
-			s.met.Counter("wire_degraded_queries").Inc()
-		}
-		return res
-	}
-
+	var rings rangeOutcome
 	var nearestDist float64
 	found := false
 	for {
 		window := core.AreaFromRect(geo.RectAround(req.P, radius))
-		out, err := s.collectRange(ctx, window, req.ReqAcc, anyOverlap)
+		out, err := s.collectRange(ctx, window, req.ReqAcc, anyOverlap, wait)
 		if err != nil {
-			return nil, err
+			return msg.NeighborQueryRes{}, err
 		}
-		partial = partial || out.partial
-		unreachable = mergeUnreachable(unreachable, out.unreachable...)
+		rings.partial = rings.partial || out.partial
+		rings.unreachable = mergeUnreachable(rings.unreachable, out.unreachable...)
 		for _, e := range out.objs {
 			d := e.LD.Pos.Dist(req.P)
 			if d <= radius && (!found || d < nearestDist) {
@@ -97,101 +331,18 @@ func (s *Server) handleNeighborQuery(ctx context.Context, req msg.NeighborQueryR
 		}
 		if radius >= maxRadius {
 			// The whole service area has been searched.
-			return finish(msg.NeighborQueryRes{Found: false}), nil
+			return selectNeighbor(nil, req, rings), nil
 		}
 		radius = math.Min(radius*2, maxRadius)
 		s.met.Counter("neighbor_query_expand").Inc()
 	}
 
-	// Collection ring: every object that can appear in nearObjSet has a
-	// recorded position within nearestDist + nearQual of p. The +1 m
-	// margin keeps the window's area positive when the nearest candidate
-	// sits exactly at p with nearQual 0 — a zero-area window would give
-	// every candidate overlap degree 0 and filter the whole answer away
-	// (SelectNearest applies the exact rule to the superset).
-	collectR := nearestDist + req.NearQual + 1
-	window := core.AreaFromRect(geo.RectAround(req.P, collectR))
-	out, err := s.collectRange(ctx, window, req.ReqAcc, anyOverlap)
+	window := core.AreaFromRect(geo.RectAround(req.P, nearestDist+req.NearQual+1))
+	out, err := s.collectRange(ctx, window, req.ReqAcc, anyOverlap, wait)
 	if err != nil {
-		return nil, err
+		return msg.NeighborQueryRes{}, err
 	}
-	partial = partial || out.partial
-	unreachable = mergeUnreachable(unreachable, out.unreachable...)
-	res := core.SelectNearest(out.objs, req.P, req.ReqAcc, req.NearQual)
-	if !res.Found {
-		return finish(msg.NeighborQueryRes{Found: false}), nil
-	}
-	return finish(msg.NeighborQueryRes{
-		Found:             true,
-		Nearest:           res.Nearest,
-		Near:              res.Near,
-		GuaranteedMinDist: res.GuaranteedMinDist,
-	}), nil
-}
-
-// neighborQueryLocal resolves a nearest-neighbor query without touching the
-// network when the answer is provably local. It streams this leaf's
-// sightings nearest-first until one qualifies under the same predicate the
-// distributed window search applies. With the nearest qualifying candidate
-// at distance d, every object that can influence the answer has a recorded
-// position within d + nearQual of p; if that collection disc — enlarged by
-// reqAcc exactly like a forwarded window would be — lies inside this leaf's
-// service area, then any such object is agented here (objects are stored by
-// position), so the distributed phases cannot contribute anything further
-// and the selection rule runs on purely local candidates. Queries near a
-// service-area border fall back to the expanding-ring search (ok == false).
-func (s *Server) neighborQueryLocal(req msg.NeighborQueryReq) (msg.Message, bool) {
-	sa := s.cfg.SA.Bounds()
-	const anyOverlap = 1e-9
-	// Cap the cursor walk: a store full of non-qualifying sightings should
-	// fall back to the distributed search, not be streamed end to end.
-	const scanCap = 64
-	nearestDist := -1.0
-	examined := 0
-	s.sightings.NearestFunc(req.P, func(sight core.Sighting, dist float64) bool {
-		if !sa.ContainsRect(geo.RectAround(req.P, dist).Enlarge(req.ReqAcc)) {
-			// The candidate disc already escapes this leaf, and every
-			// later candidate is farther still: locality is unprovable.
-			return false
-		}
-		// The qualification window only needs to strictly contain the
-		// candidate's position: overlap is then positive and the
-		// predicate reduces to the accuracy test, exactly as the
-		// expanding ring converges to.
-		window := core.AreaFromRect(geo.RectAround(req.P, dist+1))
-		if _, ok := s.entryIfQualifies(sight, window, req.ReqAcc, anyOverlap); ok {
-			nearestDist = dist
-			return false
-		}
-		examined++
-		return examined < scanCap
-	})
-	if nearestDist < 0 {
-		// No local qualifying candidate; only the distributed search can
-		// answer (or establish emptiness).
-		return nil, false
-	}
-	// The +1 m margin keeps the window's area positive even when the
-	// nearest candidate sits exactly at P with nearQual 0 (a query at an
-	// object's recorded position): a zero-area window gives every
-	// candidate overlap degree 0 and filters the entire answer away. The
-	// margin only admits a superset; SelectNearest applies the exact
-	// rule. Same reasoning as the +1 in the qualification window above.
-	collectR := nearestDist + req.NearQual + 1
-	window := core.AreaFromRect(geo.RectAround(req.P, collectR))
-	enlarged := window.Bounds().Enlarge(req.ReqAcc)
-	if !sa.ContainsRect(enlarged) {
-		return nil, false
-	}
-	cands := s.localRangeResult(window, req.ReqAcc, anyOverlap, enlarged)
-	res := core.SelectNearest(cands, req.P, req.ReqAcc, req.NearQual)
-	if !res.Found {
-		return msg.NeighborQueryRes{Found: false}, true
-	}
-	return msg.NeighborQueryRes{
-		Found:             true,
-		Nearest:           res.Nearest,
-		Near:              res.Near,
-		GuaranteedMinDist: res.GuaranteedMinDist,
-	}, true
+	rings.partial = rings.partial || out.partial
+	rings.unreachable = mergeUnreachable(rings.unreachable, out.unreachable...)
+	return selectNeighbor(out.objs, req, rings), nil
 }

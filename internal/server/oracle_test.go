@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -80,48 +81,176 @@ func TestDistributedRangeQueryMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestDistributedNeighborQueryMatchesOracle does the same for the
-// nearest-neighbor expanding search.
+// TestDistributedNeighborQueryMatchesOracle does the same for nearest-
+// neighbor queries: the answer — nearest object, the nearObjSet by OID and
+// the guaranteed minimum distance — must equal core.SelectNearest over all
+// registered objects. It runs a two- and a three-level hierarchy, each with
+// the area cache off (queries climb the tree to the owning leaf) and on
+// (entries send them straight to the owner once they learned its area),
+// from a querier on each quadrant. Query points are drawn to hit every
+// branch of the resolution: leaf borders and corners, points exactly at
+// objects, points just outside the root area (no owner), clusters of
+// objects too coarse for the query's accuracy bound right next to the
+// point (the cursor must skip them), and one leaf left empty (its owner
+// falls back to the expanding ring).
 func TestDistributedNeighborQueryMatchesOracle(t *testing.T) {
-	spec := hierarchy.Spec{
-		RootArea: geo.R(0, 0, 1600, 1600),
-		Levels:   []hierarchy.Level{{Rows: 2, Cols: 2}},
+	root := geo.R(0, 0, 1600, 1600)
+	specs := []struct {
+		name    string
+		spec    hierarchy.Spec
+		borders []float64 // leaf border coordinates on both axes
+		empty   geo.Rect  // one leaf's area, left without objects
+	}{
+		{"two-level", hierarchy.Spec{RootArea: root, Levels: []hierarchy.Level{{Rows: 2, Cols: 2}}},
+			[]float64{800}, geo.R(800, 800, 1600, 1600)},
+		{"three-level", hierarchy.Spec{RootArea: root, Levels: []hierarchy.Level{{Rows: 2, Cols: 2}, {Rows: 2, Cols: 2}}},
+			[]float64{400, 800, 1200}, geo.R(1200, 1200, 1600, 1600)},
 	}
-	ls := newTestLS(t, spec, server.Options{AchievableAcc: 15})
-	owner := ls.newClientAt(t, "owner", geo.Pt(10, 10), client.Options{})
+	for _, sp := range specs {
+		for _, cache := range []bool{false, true} {
+			sp, cache := sp, cache
+			t.Run(fmt.Sprintf("%s/areacache=%v", sp.name, cache), func(t *testing.T) {
+				checkNeighborOracle(t, sp.spec, cache, sp.borders, sp.empty)
+			})
+		}
+	}
+}
 
+func checkNeighborOracle(t *testing.T, spec hierarchy.Spec, areaCache bool, borders []float64, empty geo.Rect) {
+	const (
+		reqAcc  = 30
+		fineAcc = 15 // offered to qualifying objects
+		coarse  = 60 // offered to objects the query must skip
+		trials  = 200
+	)
+	ls := newTestLS(t, spec, server.Options{AchievableAcc: fineAcc, EnableAreaCache: areaCache})
+	owner := ls.newClientAt(t, "owner", geo.Pt(10, 10), client.Options{})
 	rng := rand.New(rand.NewSource(101))
+	side := spec.RootArea.Width()
+
 	var entries []core.Entry
-	const n = 150
-	for i := 0; i < n; i++ {
-		p := geo.Pt(rng.Float64()*1600, rng.Float64()*1600)
-		oid := core.OID(fmt.Sprintf("o%d", i))
-		obj, err := owner.Register(ctx(t), sightingAt(string(oid), p), 15, 100, 3)
+	register := func(p geo.Point, desAcc float64) {
+		t.Helper()
+		if empty.ContainsClosed(p) {
+			return
+		}
+		oid := core.OID(fmt.Sprintf("o%d", len(entries)))
+		obj, err := owner.Register(ctx(t), sightingAt(string(oid), p), desAcc, 100, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		entries = append(entries, core.Entry{OID: oid, LD: core.LocationDescriptor{Pos: p, Acc: obj.OfferedAcc()}})
 	}
-	waitFor(t, func() bool { return ls.dep.RootVisitorCount() == n }, "paths complete")
-
-	querier := ls.newClientAt(t, "querier", geo.Pt(800, 800), client.Options{})
-	for trial := 0; trial < 25; trial++ {
-		p := geo.Pt(rng.Float64()*1600, rng.Float64()*1600)
-		nearQual := rng.Float64() * 100
-		got, err := querier.NeighborQuery(ctx(t), p, 30, nearQual)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		want := core.SelectNearest(entries, p, 30, nearQual)
-		if got.Nearest.OID != want.Nearest.OID {
-			t.Fatalf("trial %d: nearest %s, oracle %s (dist %.1f vs %.1f)",
-				trial, got.Nearest.OID, want.Nearest.OID,
-				got.Nearest.LD.Pos.Dist(p), want.Nearest.LD.Pos.Dist(p))
-		}
-		if len(got.Near) != len(want.Near) {
-			t.Fatalf("trial %d: nearObjSet size %d, oracle %d", trial, len(got.Near), len(want.Near))
+	for i := 0; i < 150; i++ {
+		register(geo.Pt(rng.Float64()*side, rng.Float64()*side), fineAcc)
+	}
+	// Objects on leaf borders, and clusters of coarse objects hugging
+	// "hot" points: a query there meets non-qualifying sightings first.
+	var hot []geo.Point
+	for _, b := range borders {
+		register(geo.Pt(b, rng.Float64()*side), fineAcc)
+		register(geo.Pt(rng.Float64()*side, b), fineAcc)
+		for _, c := range borders {
+			hot = append(hot, geo.Pt(b+0.5, c-0.5))
 		}
 	}
+	for i := 0; i < 8; i++ {
+		hot = append(hot, geo.Pt(rng.Float64()*side, rng.Float64()*side))
+	}
+	for _, h := range hot {
+		for k := 0; k < 4; k++ {
+			register(geo.Pt(h.X+rng.Float64()*6-3, h.Y+rng.Float64()*6-3), coarse)
+		}
+	}
+	n := len(entries)
+	waitFor(t, func() bool { return ls.dep.RootVisitorCount() == n }, "paths complete")
+
+	// A querier on each quadrant; the last one's entry leaf is empty.
+	queriers := []*client.Client{
+		ls.newClientAt(t, "q0", geo.Pt(side/8, side/8), client.Options{}),
+		ls.newClientAt(t, "q1", geo.Pt(side*7/8, side/8), client.Options{}),
+		ls.newClientAt(t, "q2", geo.Pt(side/8, side*7/8), client.Options{}),
+		ls.newClientAt(t, "q3", geo.Pt(side*31/32, side*31/32), client.Options{}),
+	}
+	border := func() float64 { return borders[rng.Intn(len(borders))] }
+	points := []func() geo.Point{
+		func() geo.Point { return geo.Pt(rng.Float64()*side, rng.Float64()*side) },
+		func() geo.Point { return geo.Pt(border(), rng.Float64()*side) },
+		func() geo.Point { return geo.Pt(rng.Float64()*side, border()) },
+		func() geo.Point { return geo.Pt(border(), border()) },
+		func() geo.Point { return entries[rng.Intn(n)].LD.Pos },
+		func() geo.Point { return hot[rng.Intn(len(hot))] },
+		func() geo.Point {
+			return geo.Pt(empty.Min.X+rng.Float64()*empty.Width(), empty.Min.Y+rng.Float64()*empty.Height())
+		},
+		func() geo.Point { // just outside the root area, on any side
+			off := []geo.Point{{X: -0.5, Y: rng.Float64() * side}, {X: side + 0.5, Y: rng.Float64() * side},
+				{X: rng.Float64() * side, Y: -1}, {X: rng.Float64() * side, Y: side + 1}}
+			return off[rng.Intn(len(off))]
+		},
+	}
+	for trial := 0; trial < trials; trial++ {
+		p := points[trial%len(points)]()
+		nearQual := rng.Float64() * 100
+		if trial%5 == 0 {
+			nearQual = 0
+		}
+		q := queriers[(trial/len(points))%len(queriers)]
+		got, err := q.NeighborQuery(ctx(t), p, reqAcc, nearQual)
+		if err != nil {
+			t.Fatalf("trial %d (p %v): %v", trial, p, err)
+		}
+		want := core.SelectNearest(entries, p, reqAcc, nearQual)
+		if got.Partial {
+			t.Fatalf("trial %d (p %v): healthy hierarchy answered Partial (unreachable %v)", trial, p, got.Unreachable)
+		}
+		if got.Nearest.OID != want.Nearest.OID {
+			t.Fatalf("trial %d (p %v): nearest %s, oracle %s (dist %.2f vs %.2f)",
+				trial, p, got.Nearest.OID, want.Nearest.OID,
+				got.Nearest.LD.Pos.Dist(p), want.Nearest.LD.Pos.Dist(p))
+		}
+		if math.Abs(got.GuaranteedMinDist-want.GuaranteedMinDist) > 1e-9 {
+			t.Fatalf("trial %d (p %v): guaranteed min dist %v, oracle %v", trial, p, got.GuaranteedMinDist, want.GuaranteedMinDist)
+		}
+		gotNear, wantNear := entryOIDs(got.Near), entryOIDs(want.Near)
+		if !equalOIDs(gotNear, wantNear) {
+			t.Fatalf("trial %d (p %v, nearQual %.1f): nearObjSet %v, oracle %v", trial, p, nearQual, gotNear, wantNear)
+		}
+	}
+
+	// Every branch of the resolution ran.
+	var c struct{ routed, skipped, expand int64 }
+	for _, id := range ls.dep.Leaves() {
+		srv, _ := ls.dep.Server(id)
+		c.routed += srv.Metrics().Counter("neighbor_query_routed").Value()
+		c.skipped += srv.Metrics().Counter("neighbor_query_ring_skipped").Value()
+		c.expand += srv.Metrics().Counter("neighbor_query_expand").Value()
+	}
+	if c.routed == 0 || c.skipped == 0 || c.expand == 0 {
+		t.Errorf("resolution branches not all exercised: routed=%d ring_skipped=%d ring_expand=%d", c.routed, c.skipped, c.expand)
+	}
+	if areaCache {
+		id, _ := ls.dep.LeafFor(geo.Pt(side/8, side/8))
+		entry, _ := ls.dep.Server(id)
+		learned := false
+		for _, p := range []geo.Point{{X: side * 7 / 8, Y: side / 8}, {X: side / 8, Y: side * 7 / 8}, {X: side * 5 / 8, Y: side * 5 / 8}} {
+			_, ok := entry.CachedLeafForTest(p)
+			learned = learned || ok
+		}
+		if !learned {
+			t.Error("area cache on, but the entry never learned the owner of a remote point")
+		}
+	}
+}
+
+// entryOIDs returns the sorted object ids of a result set.
+func entryOIDs(es []core.Entry) []core.OID {
+	ids := make([]core.OID, len(es))
+	for i, e := range es {
+		ids[i] = e.OID
+	}
+	sortOIDs(ids)
+	return ids
 }
 
 // TestQueriesUnderMessageLoss injects datagram loss and verifies the

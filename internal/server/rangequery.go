@@ -28,7 +28,7 @@ func (s *Server) handleRangeQuery(ctx context.Context, req msg.RangeQueryReq) (m
 	}
 	s.met.Counter("range_query_seen").Inc()
 
-	out, err := s.collectRange(ctx, req.Area, req.ReqAcc, req.ReqOverlap)
+	out, err := s.collectRange(ctx, req.Area, req.ReqAcc, req.ReqOverlap, s.opts.QueryTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -78,6 +78,8 @@ func mergeUnreachable(dst []msg.NodeID, ids ...msg.NodeID) []msg.NodeID {
 // collectRange runs the distributed range query and returns the qualifying
 // objects, the number of contributing leaf servers and the maximum hop
 // count observed. It is shared by range and nearest-neighbor processing.
+// wait bounds the wait for partial results; on expiry the outcome is
+// returned as it stands, marked partial.
 //
 // Degraded mode: fan-out messages travel as tracked one-ways (forward), so
 // an unreachable destination — open breaker, dead address — is detected
@@ -87,7 +89,7 @@ func mergeUnreachable(dst []msg.NodeID, ids ...msg.NodeID) []msg.NodeID {
 // for the whole query, so a query over a half-dark hierarchy returns the
 // reachable results promptly with partial set, rather than eating the full
 // query timeout.
-func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOverlap float64) (rangeOutcome, error) {
+func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOverlap float64, wait time.Duration) (rangeOutcome, error) {
 	enlarged := area.Bounds().Enlarge(reqAcc)
 
 	// The expected coverage is the part of the query area inside the
@@ -164,7 +166,7 @@ func (s *Server) collectRange(ctx context.Context, area core.Area, reqAcc, reqOv
 
 	// Collection loop (lines 10-13): receive partial results until live
 	// plus dark cover accounts for the whole area.
-	timeout := time.NewTimer(s.opts.QueryTimeout)
+	timeout := time.NewTimer(wait)
 	defer timeout.Stop()
 	for covered+darkCover+coverEpsilon*expected < expected {
 		select {
@@ -218,9 +220,7 @@ func (s *Server) localRangeResult(area core.Area, reqAcc, reqOverlap float64, en
 
 // entryIfQualifies looks up the visitor record behind a sighting and
 // applies the full range predicate of Section 3.2, returning the wire
-// entry when the object qualifies. It is shared by the range-query leaf
-// path and the nearest-neighbor local fast path, so both apply identical
-// accuracy and overlap semantics.
+// entry when the object qualifies.
 func (s *Server) entryIfQualifies(sight core.Sighting, area core.Area, reqAcc, reqOverlap float64) (core.Entry, bool) {
 	rec, ok := s.visitors.Get(sight.OID)
 	if !ok {

@@ -192,25 +192,37 @@ func (s *Server) forwardPath(to msg.NodeID, m msg.Message) {
 		s.sendOrCount(to, m)
 		return
 	}
-	s.bgMu.Lock()
-	if s.stopped {
-		s.bgMu.Unlock()
+	// Bound the whole budget so a goroutine never outlives its
+	// usefulness: all attempts plus all maximal backoff draws.
+	total := time.Duration(pol.MaxAttempts) * (pol.PerTryTimeout + pol.MaxBackoff)
+	started := s.goBackground(total, func(ctx context.Context) {
+		if _, err := transport.CallWithRetry(ctx, s.node, func() msg.NodeID { return to }, m, pol); err != nil {
+			s.met.Counter("path_propagation_failed").Inc()
+		}
+	})
+	if !started {
 		// Shutting down: one best-effort send instead of a retry loop
 		// Close would have to wait out.
 		s.sendOrCount(to, m)
-		return
+	}
+}
+
+// goBackground runs f on a goroutine Close waits for. f's context ends
+// after budget or when Close starts, so whatever f waits on — retries, a
+// query collection — aborts instead of holding up shutdown. Once the
+// server is stopping it starts nothing and reports false.
+func (s *Server) goBackground(budget time.Duration, f func(ctx context.Context)) bool {
+	s.bgMu.Lock()
+	if s.stopped {
+		s.bgMu.Unlock()
+		return false
 	}
 	s.wg.Add(1)
 	s.bgMu.Unlock()
 	go func() {
 		defer s.wg.Done()
-		// Bound the whole budget so a goroutine never outlives its
-		// usefulness: all attempts plus all maximal backoff draws.
-		total := time.Duration(pol.MaxAttempts) * (pol.PerTryTimeout + pol.MaxBackoff)
-		ctx, cancel := context.WithTimeout(context.Background(), total)
+		ctx, cancel := context.WithTimeout(context.Background(), budget)
 		defer cancel()
-		// Abort outstanding attempts on shutdown: Close waits for this
-		// goroutine before detaching from the network.
 		go func() {
 			select {
 			case <-s.stop:
@@ -218,10 +230,9 @@ func (s *Server) forwardPath(to msg.NodeID, m msg.Message) {
 			case <-ctx.Done():
 			}
 		}()
-		if _, err := transport.CallWithRetry(ctx, s.node, func() msg.NodeID { return to }, m, pol); err != nil {
-			s.met.Counter("path_propagation_failed").Inc()
-		}
+		f(ctx)
 	}()
+	return true
 }
 
 // forward sends m to a hierarchy neighbor as a tracked one-way: the message

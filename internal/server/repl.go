@@ -106,11 +106,21 @@ type replStream struct {
 
 	// needSync schedules a snapshot before the next send (bootstrap, gap
 	// NACK, queue overflow, promotion). syncTok, when non-zero, is the WAL
-	// marker the sender is waiting to surface in the queue; snapRec is the
-	// snapshot payload to substitute at the marker's position.
-	needSync bool
-	syncTok  uint64
-	snapRec  *msg.ReplRecord
+	// marker the sender is waiting to surface in the queue; markerQueued
+	// reports that it has; snapRec is the snapshot payload to substitute
+	// at the marker's position. All three change together through setSync.
+	needSync     bool
+	syncTok      uint64
+	markerQueued bool
+	snapRec      *msg.ReplRecord
+}
+
+// setSync arms the wait for snapshot marker tok, or disarms it with tok 0.
+// Caller holds st.mu.
+func (st *replStream) setSync(tok uint64) {
+	st.syncTok = tok
+	st.markerQueued = false
+	st.snapRec = nil
 }
 
 func newReplState(s *Server, peer msg.NodeID, sdb *store.ShardedSightingDB, standby bool) *replState {
@@ -248,8 +258,10 @@ func (st *replStream) enqueue(rec msg.ReplRecord) {
 		st.firstSeq += uint64(len(st.recs))
 		st.recs = st.recs[:0]
 		st.needSync = true
-		st.syncTok = 0
-		st.snapRec = nil
+		st.setSync(0)
+	}
+	if rec.Op == replMarkerOp && st.syncTok != 0 && rec.NextSeq == st.syncTok {
+		st.markerQueued = true
 	}
 	st.recs = append(st.recs, rec)
 	st.cond.Broadcast()
@@ -262,8 +274,7 @@ func (st *replStream) clear(needSync bool) {
 	st.firstSeq += uint64(len(st.recs))
 	st.recs = st.recs[:0]
 	st.needSync = needSync
-	st.syncTok = 0
-	st.snapRec = nil
+	st.setSync(0)
 	st.cond.Broadcast()
 	st.mu.Unlock()
 }
@@ -335,12 +346,21 @@ func (r *replState) sendable(st *replStream) bool {
 			st.firstSeq += uint64(len(st.recs))
 			st.recs = st.recs[:0]
 			st.needSync = false
-			st.syncTok = 0
-			st.snapRec = nil
+			st.setSync(0)
 		}
 		return false
 	}
-	return st.needSync || len(st.recs) > 0 || st.syncTok != 0
+	if st.needSync {
+		return true
+	}
+	if st.syncTok != 0 {
+		// Nothing goes out until the snapshot marker has surfaced and its
+		// payload is ready: popBatch could not make progress before, and a
+		// sender woken for it would spin rescanning the queue. enqueue and
+		// startSync broadcast when either arrives.
+		return st.markerQueued && st.snapRec != nil
+	}
+	return len(st.recs) > 0
 }
 
 // stopping reports server shutdown.
@@ -386,13 +406,12 @@ func (r *replState) startSync(st *replStream) error {
 	}
 	tok := r.tokens.Add(1)
 	st.mu.Lock()
-	st.syncTok = tok
-	st.snapRec = nil
+	st.setSync(tok)
 	st.mu.Unlock()
 	state, err := r.sdb.ReplSnapshot(st.id, tok)
 	if err != nil {
 		st.mu.Lock()
-		st.syncTok = 0
+		st.setSync(0)
 		st.mu.Unlock()
 		return err
 	}
@@ -433,8 +452,7 @@ func (r *replState) popBatch(st *replStream) ([]msg.ReplRecord, uint64, bool) {
 		st.recs = append(st.recs[:0], st.recs[idx:]...)
 		st.firstSeq += uint64(idx)
 		st.recs[0] = *st.snapRec
-		st.syncTok = 0
-		st.snapRec = nil
+		st.setSync(0)
 	}
 	n := len(st.recs)
 	if n == 0 {
@@ -532,6 +550,7 @@ func (r *replState) demoteTo(epoch uint64) {
 		st.clear(false)
 	}
 	r.s.met.Counter("repl_demotions").Inc()
+	r.updateGauges()
 }
 
 // promote steps up to primary with a fencing epoch strictly above both
@@ -564,6 +583,7 @@ func (r *replState) promote(floor uint64) uint64 {
 		st.mu.Unlock()
 	}
 	r.s.met.Counter("repl_promotions").Inc()
+	r.updateGauges()
 	return r.epoch.Load()
 }
 
@@ -789,7 +809,9 @@ func (s *Server) replDiag() *msg.ReplDiag {
 	}
 }
 
-// replGauges refreshes the replication gauges on the janitor tick.
+// updateGauges refreshes the replication gauges: on the janitor tick, and
+// at once on a role change, so repl_role never reports the old role of a
+// server that is already acting in its new one.
 func (r *replState) updateGauges() {
 	met := r.s.met
 	role := int64(0)

@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -321,4 +323,70 @@ func TestReplCloseUnderLoad(t *testing.T) {
 	}
 	close(stop)
 	writers.Wait()
+}
+
+// TestReplSenderBlocksWhileMarkerMissing pins the sender's idle state
+// while a snapshot waits for its WAL marker: records queued behind the
+// missing marker cannot be sent, so the sender must park on the stream's
+// condition variable rather than loop rescanning the queue, and only the
+// marker's arrival makes the stream sendable again.
+func TestReplSenderBlocksWhileMarkerMissing(t *testing.T) {
+	s := &Server{stop: make(chan struct{})}
+	st := &replStream{id: 0, firstSeq: 1}
+	st.cond = sync.NewCond(&st.mu)
+	r := &replState{s: s, streams: []*replStream{st}}
+	r.primary.Store(true)
+
+	const tok = 7
+	st.mu.Lock()
+	st.setSync(tok)
+	st.snapRec = &msg.ReplRecord{Op: msg.ReplSnapshot}
+	st.mu.Unlock()
+	st.enqueue(msg.ReplRecord{Op: msg.ReplSightingRemove, OID: "a"})
+
+	s.wg.Add(1)
+	go r.sender(st)
+	stop := sync.OnceFunc(func() {
+		close(s.stop)
+		r.wake()
+		s.wg.Wait()
+	})
+	t.Cleanup(stop)
+	parked := func() bool {
+		buf := make([]byte, 1<<20)
+		for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+			if strings.Contains(g, "(*replState).sender") {
+				return strings.Contains(g, "sync.(*Cond).Wait")
+			}
+		}
+		return false
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for !parked() {
+		if time.Now().After(deadline) {
+			t.Fatal("sender never parked while its snapshot marker was missing (busy loop)")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Records that are not the marker wake it, and it parks again.
+	for i := 0; i < 3; i++ {
+		st.enqueue(msg.ReplRecord{Op: msg.ReplSightingRemove, OID: core.OID(fmt.Sprint("b", i))})
+		time.Sleep(10 * time.Millisecond)
+		if !parked() {
+			t.Fatalf("sender busy after non-marker enqueue %d", i)
+		}
+	}
+	stop()
+
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if r.sendable(st) {
+		t.Fatal("stream sendable before its marker surfaced")
+	}
+	st.mu.Unlock()
+	st.enqueue(msg.ReplRecord{Op: replMarkerOp, NextSeq: tok})
+	st.mu.Lock()
+	if !r.sendable(st) {
+		t.Fatal("stream not sendable once its marker and snapshot are ready")
+	}
 }

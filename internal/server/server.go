@@ -10,6 +10,48 @@
 // Servers communicate exclusively through their transport.Node, so the same
 // implementation runs on the in-process simulation network and over UDP.
 //
+// # Nearest-neighbor queries
+//
+// The paper fixes the answer of a nearest-neighbor query (Section 3.2),
+// not its distributed resolution. Here a query is answered at the leaf
+// that owns its point P:
+//
+//   - Route. When P lies in another leaf's service area, the entry server
+//     sends a NeighborQueryFwd there — straight to the leaf its area cache
+//     names, or else up the hierarchy until a server's area contains P
+//     and down through the child containing P — and waits for the owner's
+//     NeighborQuerySubRes. Points in its own area, and points outside the
+//     root area (which no leaf owns), the entry resolves itself.
+//   - Resolve (the same function at the owner and at the entry). Walk the
+//     store's nearest-first cursor to the first qualifying sighting, at
+//     distance d, examining at most scanCap. If the collection window of
+//     radius d + nearQual + 1, enlarged by reqAcc, lies inside the leaf's
+//     service area, select the answer from local sightings alone.
+//     Otherwise run one distributed range collection over that window.
+//     Only when no qualifying sighting turns up within scanCap does the
+//     expanding ring run.
+//   - Fall back. A dark next hop answers the entry at once (Partial, with
+//     the unreachable server named); a forward error, a route that ends
+//     without an owner, or no reply within QueryTimeout also make the
+//     entry resolve the query itself. A degraded answer is the nearest
+//     reachable object, marked Partial.
+//
+// Why one collection is exact: the cursor's candidate qualifies, so the
+// true nearest qualifying object lies at distance at most d, and every
+// member of nearObjSet at most d + nearQual from P. All of them lie
+// strictly inside the square window of radius d + nearQual + 1 around P,
+// so the collection returns a superset of every object that can appear in
+// the answer, and core.SelectNearest applies the exact selection rule
+// (accuracy filter, deterministic tie-break, guaranteed minimum distance)
+// to it. The +1 m margin keeps the window's area positive when the
+// candidate sits exactly at P with nearQual 0: a zero-area window would
+// give every candidate overlap degree 0 and filter the whole answer away.
+// Objects are agented by the leaf whose area contains their position, so
+// when the window (enlarged by reqAcc, exactly like a forwarded window)
+// lies inside this leaf's area, every object in it is local. Running the
+// resolution at the owner only makes d small; it is correct at any leaf,
+// which is what lets the entry fall back to it.
+//
 // # Replication and failover
 //
 // A leaf can run as half of a hot-standby pair (Options.ReplPeer). The
@@ -125,8 +167,9 @@ type Options struct {
 	Metrics *metrics.Registry
 	// Clock injects a time source for tests.
 	Clock func() time.Time
-	// NNInitialRadius seeds the nearest-neighbor expanding search;
-	// defaults to a quarter of the leaf service-area diagonal.
+	// NNInitialRadius seeds the expanding ring, the nearest-neighbor
+	// resolution of last resort (see the package doc); defaults to an
+	// eighth of the leaf service area's width plus height.
 	NNInitialRadius float64
 	// DedupeWindow bounds how long a leaf remembers replies to Seq-stamped
 	// requests (UpdateReq, RegisterReq) so a client retry is applied
@@ -609,6 +652,13 @@ func (s *Server) handle(ctx context.Context, from msg.NodeID, m msg.Message) (ms
 	// Nearest neighbor (Section 3.2 semantics).
 	case msg.NeighborQueryReq:
 		return s.handleNeighborQuery(ctx, req)
+	case msg.NeighborQueryFwd:
+		s.handleNeighborQueryFwd(from, req)
+		return nil, nil
+	case msg.NeighborQuerySubRes:
+		s.observeLeafInfo(req.Leaf)
+		s.pend.deliver(req.OpID, req)
+		return nil, nil
 
 	// Event mechanism (Section 1 / future work).
 	case msg.EventSubscribe:

@@ -3,6 +3,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -338,4 +339,83 @@ func TestRetryOnOpenBreaker(t *testing.T) {
 		t.Fatalf("breaker after recovery = %v, want closed", st)
 	}
 	waitQuiesced(t, cli)
+}
+
+// TestOutcomeRecordedBeforeCallerWakes pins the tracker's ordering: the
+// per-peer outcome hook runs before the waiter's channel is written, both
+// for a delivered reply and for a swept timeout, so no caller can observe
+// its call's resolution ahead of the breaker state it produced.
+func TestOutcomeRecordedBeforeCallerWakes(t *testing.T) {
+	var mu sync.Mutex
+	chans := map[msg.NodeID]chan msg.Message{}
+	seen := map[msg.NodeID]int{}
+	c := newCalls(trackerConfig{
+		sweepEvery: 2 * time.Millisecond,
+		onOutcome: func(to msg.NodeID, ok bool) {
+			mu.Lock()
+			defer mu.Unlock()
+			seen[to] = len(chans[to]) + 1 // 1: waiter not yet woken
+		},
+	})
+	defer c.close()
+	register := func(to msg.NodeID, deadline time.Time) uint64 {
+		mu.Lock()
+		defer mu.Unlock()
+		id, ch, err := c.register(context.Background(), to, deadline)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans[to] = ch
+		return id
+	}
+	live := register("live", time.Time{})
+	register("dark", time.Now().Add(5*time.Millisecond))
+	if !c.deliver(live, msg.Ack{}) {
+		t.Fatal("reply found no waiter")
+	}
+	// Wait for the sweeper without draining the dark waiter's channel.
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+		mu.Lock()
+		_, swept := seen["dark"]
+		mu.Unlock()
+		if swept {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("sweeper never resolved the expired call")
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, to := range []msg.NodeID{"live", "dark"} {
+		if seen[to] != 1 {
+			t.Errorf("%s: outcome recorded after the waiter was woken (seen=%d)", to, seen[to])
+		}
+	}
+}
+
+// TestBreakerOpenWhenCallerSeesTimeout is the end-to-end form: with a
+// threshold of one, a caller whose call just timed out finds the breaker
+// already open, and its very next call fails fast.
+func TestBreakerOpenWhenCallerSeesTimeout(t *testing.T) {
+	for i := 0; i < 5; i++ {
+		net := breakerNet(t, 1, time.Hour, nil)
+		if _, err := net.Attach("srv", valueEchoHandler); err != nil {
+			t.Fatal(err)
+		}
+		cli, err := net.Attach("cli", valueEchoHandler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net.SetNodeDown("srv", true)
+		if _, err := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 1}); !errors.Is(err, core.ErrTimeout) {
+			t.Fatalf("call to dark peer: err = %v, want timeout", err)
+		}
+		if st := net.PeerState("cli", "srv"); st != PeerOpen {
+			t.Fatalf("round %d: caller saw its timeout with the breaker %v, want open", i, st)
+		}
+		if _, err := cli.Call(context.Background(), "srv", msg.ChangeAccReq{OID: "o", DesAcc: 2}); !errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("round %d: next call err = %v, want ErrBreakerOpen", i, err)
+		}
+	}
 }

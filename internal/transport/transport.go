@@ -5,7 +5,7 @@
 //     with injectable per-hop latency and loss. This substitutes the paper's
 //     testbed of five workstations on 100 Mbit Ethernet: hop counts, message
 //     sequences and concurrency are identical, only absolute wire time
-//     differs (see DESIGN.md, substitutions).
+//     differs.
 //   - UDP: each node binds a datagram socket, mirroring the paper's choice
 //     of UDP for efficient client/server and server/server interaction.
 //
@@ -203,7 +203,9 @@ func (c *calls) cancel(id uint64) {
 // deliver routes a reply to its waiter; it reports whether one was
 // waiting. A late or duplicate reply finds no entry — resolved calls are
 // removed from the table — so it cannot cross onto another call; it is
-// only counted.
+// only counted. The outcome is recorded before the waiter wakes, here and
+// in the sweeper, so a caller that sees its call resolve also sees the
+// breaker state that resolution produced.
 func (c *calls) deliver(id uint64, m msg.Message) bool {
 	w := c.take(id)
 	if w == nil {
@@ -212,10 +214,10 @@ func (c *calls) deliver(id uint64, m msg.Message) bool {
 		}
 		return false
 	}
-	w.ch <- m
 	if c.cfg.onOutcome != nil {
 		c.cfg.onOutcome(w.to, true)
 	}
+	w.ch <- m
 	return true
 }
 
@@ -244,13 +246,13 @@ func (c *calls) sweepLoop() {
 				if c.slots != nil {
 					<-c.slots
 				}
-				w.ch <- msg.ErrorRes{Code: msg.CodeTimeout, Text: "in-flight call expired before its reply arrived"}
 				if c.cfg.onTimeout != nil {
 					c.cfg.onTimeout()
 				}
 				if c.cfg.onOutcome != nil {
 					c.cfg.onOutcome(w.to, false)
 				}
+				w.ch <- msg.ErrorRes{Code: msg.CodeTimeout, Text: "in-flight call expired before its reply arrived"}
 			}
 		}
 	}

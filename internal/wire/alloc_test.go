@@ -71,3 +71,47 @@ func TestDecodeAllocsPinned(t *testing.T) {
 		t.Fatalf("Decode(UpdateReq) allocates %.1f objects/op, want ≤ %d (identifier interning regressed?)", n, maxAllocs)
 	}
 }
+
+// TestDecodeNeighborRouteAllocsPinned pins the decode cost of the routed
+// nearest-neighbor messages, which every cross-leaf NN query pays on each
+// hop: with the node and object identifiers interned, the forward decodes
+// into the payload boxing alone, and the owner's answer adds only its
+// slices (the near set and the leaf's area vertices).
+func TestDecodeNeighborRouteAllocsPinned(t *testing.T) {
+	cases := []struct {
+		m         msg.Message
+		maxAllocs float64
+	}{
+		{msg.NeighborQueryFwd{
+			P: geo.Pt(1200, 300), ReqAcc: 10, NearQual: 5,
+			Origin: msg.Origin{Node: "r.0", OpID: 11}, Hops: 1,
+		}, 1},
+		{msg.NeighborQuerySubRes{
+			OpID: 11,
+			Res: msg.NeighborQueryRes{
+				Found:   true,
+				Nearest: core.Entry{OID: "a", LD: core.LocationDescriptor{Pos: geo.Pt(1201, 301), Acc: 5}},
+				Near:    []core.Entry{{OID: "b", LD: core.LocationDescriptor{Pos: geo.Pt(1203, 300), Acc: 5}}},
+			},
+			Leaf: msg.LeafInfo{ID: "r.1", Area: core.AreaFromRect(geo.R(750, 0, 1500, 750))},
+			Hops: 3,
+		}, 3},
+	}
+	for _, tc := range cases {
+		data, err := Encode(msg.Envelope{From: "r.1", CorrID: 7, Msg: tc.m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Decode(data); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(500, func() {
+			if _, err := Decode(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > tc.maxAllocs {
+			t.Errorf("Decode(%T) allocates %.1f objects/op, want ≤ %.0f", tc.m, n, tc.maxAllocs)
+		}
+	}
+}

@@ -42,6 +42,23 @@ func FuzzDecode(f *testing.F) {
 		{From: "r.0", CorrID: 4, Reply: true, Msg: msg.RunFetchRes{Size: 8192, Data: []byte{1, 2, 3}, EOF: false}},
 		{From: "r", CorrID: 5, Msg: msg.Promote{}},
 		{From: "r.0~s", CorrID: 5, Reply: true, Msg: msg.PromoteRes{Epoch: 3}},
+		{From: "r.0", CorrID: 6, Msg: msg.NeighborQueryFwd{
+			P: geo.Pt(1200, 300), ReqAcc: 10, NearQual: 5, Origin: msg.Origin{Node: "r.0", OpID: 11}, Hops: 1,
+		}},
+		{From: "r.1", Msg: msg.NeighborQuerySubRes{
+			OpID: 11,
+			Res: msg.NeighborQueryRes{
+				Found:             true,
+				Nearest:           core.Entry{OID: "a", LD: core.LocationDescriptor{Pos: geo.Pt(1201, 301), Acc: 5}},
+				Near:              []core.Entry{{OID: "b", LD: core.LocationDescriptor{Pos: geo.Pt(1203, 300), Acc: 5}}},
+				GuaranteedMinDist: 0,
+			},
+			Leaf: msg.LeafInfo{ID: "r.1", Area: core.AreaFromRect(geo.R(750, 0, 1500, 750))},
+			Hops: 3,
+		}},
+		{From: "r", Msg: msg.NeighborQuerySubRes{
+			OpID: 12, Res: msg.NeighborQueryRes{Partial: true, Unreachable: []msg.NodeID{"r.3"}}, Hops: 2,
+		}},
 	}
 	for _, env := range seeds {
 		data, err := Encode(env)

@@ -61,6 +61,8 @@ func registerTypes() {
 	gob.Register(msg.RunFetchRes{})
 	gob.Register(msg.Promote{})
 	gob.Register(msg.PromoteRes{})
+	gob.Register(msg.NeighborQueryFwd{})
+	gob.Register(msg.NeighborQuerySubRes{})
 }
 
 // EncodeGob serializes an envelope in the retired gob format.

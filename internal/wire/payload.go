@@ -146,13 +146,7 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 		dst = appendF64(dst, m.NearQual)
 		return dst, msg.TagNeighborQueryReq, true
 	case msg.NeighborQueryRes:
-		dst = appendBool(dst, m.Found)
-		dst = appendEntry(dst, m.Nearest)
-		dst = appendEntries(dst, m.Near)
-		dst = appendF64(dst, m.GuaranteedMinDist)
-		dst = appendBool(dst, m.Partial)
-		dst = appendNodeIDs(dst, m.Unreachable)
-		return dst, msg.TagNeighborQueryRes, true
+		return appendNeighborRes(dst, m), msg.TagNeighborQueryRes, true
 	case msg.EventSubscribe:
 		dst = appendString(dst, m.SubID)
 		dst = appendInt(dst, int(m.Kind))
@@ -233,6 +227,19 @@ func appendPayload(dst []byte, m msg.Message) (_ []byte, tag msg.Tag, ok bool) {
 	case msg.PromoteRes:
 		dst = appendU64(dst, m.Epoch)
 		return dst, msg.TagPromoteRes, true
+	case msg.NeighborQueryFwd:
+		dst = appendPoint(dst, m.P)
+		dst = appendF64(dst, m.ReqAcc)
+		dst = appendF64(dst, m.NearQual)
+		dst = appendOrigin(dst, m.Origin)
+		dst = appendInt(dst, m.Hops)
+		return dst, msg.TagNeighborQueryFwd, true
+	case msg.NeighborQuerySubRes:
+		dst = appendU64(dst, m.OpID)
+		dst = appendNeighborRes(dst, m.Res)
+		dst = appendLeafInfo(dst, m.Leaf)
+		dst = appendInt(dst, m.Hops)
+		return dst, msg.TagNeighborQuerySubRes, true
 	}
 	return dst, msg.TagInvalid, false
 }
@@ -377,14 +384,7 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 			NearQual: r.f64(),
 		}, true
 	case msg.TagNeighborQueryRes:
-		return msg.NeighborQueryRes{
-			Found:             r.boolean(),
-			Nearest:           r.entry(),
-			Near:              r.entries(),
-			GuaranteedMinDist: r.f64(),
-			Partial:           r.boolean(),
-			Unreachable:       r.nodeIDs(),
-		}, true
+		return r.neighborRes(), true
 	case msg.TagEventSubscribe:
 		return msg.EventSubscribe{
 			SubID:       r.str(),
@@ -467,6 +467,21 @@ func decodePayload(r *reader, tag msg.Tag) (m msg.Message, known bool) {
 		return msg.Promote{Epoch: r.u64()}, true
 	case msg.TagPromoteRes:
 		return msg.PromoteRes{Epoch: r.u64()}, true
+	case msg.TagNeighborQueryFwd:
+		return msg.NeighborQueryFwd{
+			P:        r.point(),
+			ReqAcc:   r.f64(),
+			NearQual: r.f64(),
+			Origin:   r.origin(),
+			Hops:     r.integer(),
+		}, true
+	case msg.TagNeighborQuerySubRes:
+		return msg.NeighborQuerySubRes{
+			OpID: r.u64(),
+			Res:  r.neighborRes(),
+			Leaf: r.leafInfo(),
+			Hops: r.integer(),
+		}, true
 	}
 	return nil, false
 }
@@ -617,6 +632,28 @@ func (r *reader) area() core.Area {
 		poly[i] = r.point()
 	}
 	return core.Area{Vertices: poly}
+}
+
+// appendNeighborRes encodes a NeighborQueryRes, the payload of its own tag
+// and the Res field of NeighborQuerySubRes.
+func appendNeighborRes(dst []byte, m msg.NeighborQueryRes) []byte {
+	dst = appendBool(dst, m.Found)
+	dst = appendEntry(dst, m.Nearest)
+	dst = appendEntries(dst, m.Near)
+	dst = appendF64(dst, m.GuaranteedMinDist)
+	dst = appendBool(dst, m.Partial)
+	return appendNodeIDs(dst, m.Unreachable)
+}
+
+func (r *reader) neighborRes() msg.NeighborQueryRes {
+	return msg.NeighborQueryRes{
+		Found:             r.boolean(),
+		Nearest:           r.entry(),
+		Near:              r.entries(),
+		GuaranteedMinDist: r.f64(),
+		Partial:           r.boolean(),
+		Unreachable:       r.nodeIDs(),
+	}
 }
 
 func appendOrigin(dst []byte, o msg.Origin) []byte {

@@ -321,6 +321,10 @@ func randomMessage(rng *rand.Rand, tag msg.Tag) (msg.Message, bool) {
 		return msg.Promote{Epoch: rng.Uint64()}, true
 	case msg.TagPromoteRes:
 		return msg.PromoteRes{Epoch: rng.Uint64()}, true
+	case msg.TagNeighborQueryFwd:
+		return msg.NeighborQueryFwd{P: randPoint(rng), ReqAcc: randF(rng), NearQual: randF(rng), Origin: randOrigin(rng), Hops: randInt(rng)}, true
+	case msg.TagNeighborQuerySubRes:
+		return msg.NeighborQuerySubRes{OpID: rng.Uint64(), Res: msg.NeighborQueryRes{Found: rng.Intn(2) == 0, Nearest: randEntry(rng), Near: randEntries(rng), GuaranteedMinDist: randF(rng), Partial: rng.Intn(2) == 0, Unreachable: randNodeIDs(rng)}, Leaf: randLeafInfo(rng), Hops: randInt(rng)}, true
 	}
 	return nil, false
 }
@@ -382,8 +386,8 @@ func TestRoundTripEveryRegisteredType(t *testing.T) {
 // registry is caught here or by the coverage loop above.
 func TestRegistryDense(t *testing.T) {
 	tags := msg.AllTags()
-	if len(tags) != 39 {
-		t.Fatalf("registry has %d tags, want 39 (update this test when adding messages)", len(tags))
+	if len(tags) != 41 {
+		t.Fatalf("registry has %d tags, want 41 (update this test when adding messages)", len(tags))
 	}
 	seen := map[string]bool{}
 	for i, tag := range tags {

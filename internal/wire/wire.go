@@ -116,6 +116,13 @@
 //     starts empty: a client retry that straddles the failover may be
 //     re-applied once by the new primary (last-wins sighting semantics
 //     make this harmless; see the internal/server doc).
+//   - v3, tags 40/41 (no version bump: new message types only, per the
+//     rules above): NeighborQueryFwd routes a nearest-neighbor query to
+//     the leaf owning its point, NeighborQuerySubRes carries the owner's
+//     answer (a NeighborQueryRes, field for field) back to the entry
+//     server. A server from before these tags drops them as unknown, so
+//     an entry server routing through it gets no reply and falls back to
+//     its expanding-ring search after QueryTimeout.
 //
 // # Retry idempotency
 //

@@ -34,8 +34,9 @@
 //	_ = obj.Update(ctx, ...)
 //	ld, err := c.PosQuery(ctx, "taxi-7")
 //
-// See the examples/ directory for complete scenarios and DESIGN.md for the
-// mapping between this code base and the paper.
+// See the examples/ directory for complete scenarios. The internal/server
+// package doc maps the paper's algorithms (Section 6) onto the code, and
+// cmd/lsbench lists the reproduced tables and ablations.
 package locsvc
 
 import (
